@@ -7,17 +7,26 @@
 
 use mlcg_bench::{exp, Ctx};
 
+/// Print the usage lines and exit with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <experiment> [--scale k] [--runs r] [--seed s] [--fast] [--quick] \
+         [--trace] [--trace-out FILE] [--baseline BENCH_x.json] [--noise x]"
+    );
+    eprintln!("experiments: {} all", exp::ALL.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(name) = args.first() else {
-        eprintln!(
-            "usage: repro <experiment> [--scale k] [--runs r] [--seed s] [--fast] [--quick] \
-             [--trace] [--trace-out FILE] [--baseline BENCH_x.json] [--noise x]"
-        );
-        eprintln!("experiments: {} all", exp::ALL.join(" "));
-        std::process::exit(2);
+    let Some(name) = args.first() else { usage() };
+    let ctx = match Ctx::from_args(&args[1..]) {
+        Ok(ctx) => ctx,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            usage()
+        }
     };
-    let ctx = Ctx::from_args(&args[1..]);
     eprintln!(
         "repro {name}: scale={} runs={} seed={} fast={} pool-workers={} spin-us={} heap-peak={}",
         ctx.scale,

@@ -291,9 +291,10 @@ impl Parser<'_> {
 pub struct Delta {
     /// Graph name.
     pub graph: String,
-    /// Which variant (`bench-fm`: `full_scan` / `boundary`;
-    /// `bench-parref`: `seq_boundary` / `par_coarse`), discovered from
-    /// the baseline entry rather than hardcoded.
+    /// Which variant — any member of the baseline graph entry that
+    /// carries a timing (e.g. `full_scan`, `par_coarse`, `streamed`,
+    /// `spgemm`, `mis2`, `hierarchy`), discovered from the baseline entry
+    /// rather than hardcoded.
     pub variant: String,
     /// Which member of the variant object is being gated —
     /// `refine_seconds` / `seconds` for wall time, `peak_bytes` /
@@ -367,17 +368,15 @@ impl CompareOutcome {
 ///
 /// Timing variants are discovered from each baseline graph entry: every
 /// member whose value is an object carrying a `refine_seconds` or
-/// `seconds` number is a variant, so the same gate serves `bench-fm`
-/// (`full_scan` / `boundary`), `bench-parref`
-/// (`seq_boundary` / `par_coarse`), and `bench-ingest`
-/// (`inmem` / `streamed` / `spmv_*`) without a hardcoded list.
+/// `seconds` number is a variant, so the same gate serves all six
+/// `bench-*` experiments without a hardcoded list.
 ///
 /// Memory members gate alongside the timing: when a baseline variant also
 /// carries `peak_bytes`, `bytes_per_edge`, or `aux_bytes_per_edge`, the
 /// current run must report them too and stay within the same noise
 /// threshold — a heap-footprint regression fails the gate exactly like a
 /// slowdown.
-pub fn compare_bench_fm(
+pub fn compare_bench(
     baseline: &Json,
     current: &Json,
     noise: f64,
@@ -454,8 +453,9 @@ const MEMORY_METRICS: [&str; 4] = [
 ];
 
 /// The timing number inside a variant object, with the key it was found
-/// under (`refine_seconds` for the refinement benches, `seconds` for
-/// `bench-ingest`).
+/// under (`refine_seconds` for `bench-fm` / `bench-parref` /
+/// `bench-kway`, `seconds` for `bench-ingest` / `bench-coarsen` /
+/// `bench-map`).
 fn timing_member(v: &Json) -> Option<(&'static str, f64)> {
     for key in ["refine_seconds", "seconds"] {
         if let Some(x) = v.get(key).and_then(Json::as_f64) {
@@ -487,7 +487,7 @@ pub fn run_baseline_gate(baseline_path: &str, current_json: &str, noise: f64) ->
             return 2;
         }
     };
-    let outcome = match compare_bench_fm(&base, &cur, noise) {
+    let outcome = match compare_bench(&base, &cur, noise) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("baseline gate: {e}");
@@ -559,11 +559,11 @@ mod tests {
     #[test]
     fn compare_passes_within_noise_and_fails_beyond() {
         let base = doc(0.100, 0.050);
-        let same = compare_bench_fm(&base, &doc(0.110, 0.055), 0.25).unwrap();
+        let same = compare_bench(&base, &doc(0.110, 0.055), 0.25).unwrap();
         assert!(same.passed());
         assert_eq!(same.deltas.len(), 2);
 
-        let slow = compare_bench_fm(&base, &doc(0.200, 0.050), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.200, 0.050), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
@@ -587,12 +587,12 @@ mod tests {
             .unwrap()
         };
         let base = doc(0.100, 0.050);
-        let ok = compare_bench_fm(&base, &doc(0.100, 0.050), 0.25).unwrap();
+        let ok = compare_bench(&base, &doc(0.100, 0.050), 0.25).unwrap();
         assert!(ok.passed());
         let variants: Vec<&str> = ok.deltas.iter().map(|d| d.variant.as_str()).collect();
         assert_eq!(variants, vec!["par_coarse", "seq_boundary"]);
 
-        let slow = compare_bench_fm(&base, &doc(0.100, 0.500), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.100, 0.500), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
@@ -614,12 +614,12 @@ mod tests {
             .unwrap()
         };
         let base = doc(0.100, 0.120);
-        let ok = compare_bench_fm(&base, &doc(0.105, 0.125), 0.25).unwrap();
+        let ok = compare_bench(&base, &doc(0.105, 0.125), 0.25).unwrap();
         assert!(ok.passed());
         // Two timing deltas plus two aux_bytes_per_edge memory deltas.
         assert_eq!(ok.deltas.len(), 4);
 
-        let slow = compare_bench_fm(&base, &doc(0.100, 0.500), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.100, 0.500), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
@@ -642,11 +642,11 @@ mod tests {
             .unwrap()
         };
         let base = doc(1_000_000, 50.0);
-        let same = compare_bench_fm(&base, &doc(1_050_000, 52.5), 0.25).unwrap();
+        let same = compare_bench(&base, &doc(1_050_000, 52.5), 0.25).unwrap();
         assert!(same.passed());
         assert_eq!(same.deltas.len(), 3, "seconds + two memory metrics");
 
-        let bloated = compare_bench_fm(&base, &doc(2_000_000, 100.0), 0.25).unwrap();
+        let bloated = compare_bench(&base, &doc(2_000_000, 100.0), 0.25).unwrap();
         assert!(!bloated.passed());
         let reg: Vec<_> = bloated.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 2);
@@ -654,7 +654,7 @@ mod tests {
         assert!(reg.iter().any(|d| d.metric == "bytes_per_edge"));
 
         // Shrinking memory never regresses.
-        let lean = compare_bench_fm(&base, &doc(500_000, 25.0), 0.0).unwrap();
+        let lean = compare_bench(&base, &doc(500_000, 25.0), 0.0).unwrap();
         assert!(lean.passed());
 
         // A baseline with memory members requires the current run to
@@ -664,7 +664,7 @@ mod tests {
                 "streamed": {"seconds": 0.100}}]}"#,
         )
         .unwrap();
-        assert!(compare_bench_fm(&base, &no_mem, 0.25).is_err());
+        assert!(compare_bench(&base, &no_mem, 0.25).is_err());
     }
 
     #[test]
@@ -687,7 +687,7 @@ mod tests {
     #[test]
     fn faster_results_never_regress() {
         let base = doc(0.100, 0.050);
-        let fast = compare_bench_fm(&base, &doc(0.010, 0.005), 0.0).unwrap();
+        let fast = compare_bench(&base, &doc(0.010, 0.005), 0.0).unwrap();
         assert!(fast.passed());
     }
 
@@ -695,7 +695,7 @@ mod tests {
     fn missing_graph_fails_the_gate() {
         let base = doc(0.1, 0.1);
         let empty = Json::parse(r#"{"graphs": []}"#).unwrap();
-        let out = compare_bench_fm(&base, &empty, 0.25).unwrap();
+        let out = compare_bench(&base, &empty, 0.25).unwrap();
         assert!(!out.passed());
         assert_eq!(out.missing, vec!["g1".to_string()]);
     }

@@ -14,61 +14,40 @@
 //! offsets are asserted to engage the narrow `u32` mode on every suite
 //! graph. Two SpMV variants then measure what that narrow mode buys:
 //! `spmv_u32` runs on the production (adaptive) matrix, `spmv_usize` on
-//! a copy with offsets forcibly widened to `usize`. Results go to
-//! `target/repro/BENCH_ingest.json`; `--baseline FILE` gates every
-//! `seconds` member like the fm/parref/kway benches, plus the memory
-//! members (`peak_bytes`, `bytes_per_edge`, `aux_bytes_per_edge`)
-//! recorded from untimed allocator-scoped runs. The streamed build's
+//! a copy with offsets forcibly widened to `usize`. The streamed build's
 //! measured peak heap is additionally asserted within 10% of the
-//! predictable staging+CSR budget.
+//! predictable staging+CSR budget. Timing, results file and gate:
+//! [`crate::gated`].
 
-use crate::harness::{header, median_time, row, Ctx};
+use crate::gated::{Experiment, Key, Variant};
+use crate::harness::Ctx;
 use mlcg_graph::builder::{from_edges_with_mode, EDGE_ITEM_BYTES};
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
 use mlcg_graph::stream::{build_csr, IngestOptions, SliceSource};
 use mlcg_graph::{Csr, MergeMode, VId, Weight};
+use mlcg_par::ExecPolicy;
 use mlcg_sparse::{spmv, CsrMatrix};
-use std::path::PathBuf;
 
-/// SpMV iterations folded into one timed sample, so the small quick-suite
+/// SpMV iterations folded into one timed call, so the small quick-suite
 /// matrices produce measurable times.
 const SPMV_ITERS: usize = 10;
 
-struct Entry {
-    name: String,
-    n: usize,
-    m: usize,
-    inmem_secs: f64,
-    inmem_aux_per_edge: f64,
-    inmem_peak_bytes: u64,
-    streamed_secs: f64,
-    streamed_aux_per_edge: f64,
-    streamed_peak_bytes: u64,
-    chunks: u64,
-    spmv_u32_secs: f64,
-    spmv_usize_secs: f64,
-}
-
-fn suite(ctx: &Ctx) -> Vec<(String, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".to_string(), gen::grid2d(64, 64)),
-            (
-                "rmat-10".to_string(),
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-4096".to_string(), gen::path(4096)),
-        ]
-    } else {
-        vec![
-            ("grid2d-512x512".to_string(), gen::grid2d(512, 512)),
-            (
-                "rmat-15".to_string(),
-                largest_component(&gen::rmat(15, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-65536".to_string(), gen::path(65536)),
-        ]
+/// Suite, variants and members of `bench-ingest`.
+pub fn experiment() -> Experiment {
+    use Key::*;
+    Experiment {
+        name: "bench-ingest",
+        seconds_key: "seconds",
+        per_vertex: false,
+        heap_policy: ExecPolicy::host(),
+        grid: 512,
+        rmat: 15,
+        skewed: None,
+        variants: vec![
+            Variant::new("inmem", &[Seconds, Heap, AuxBytes]),
+            Variant::new("streamed", &[Seconds, Heap, AuxBytes, Chunks]),
+            Variant::new("spmv_u32", &[Seconds]),
+            Variant::new("spmv_usize", &[Seconds]),
+        ],
     }
 }
 
@@ -84,48 +63,35 @@ fn upper_edges(g: &Csr) -> Vec<(VId, VId, Weight)> {
     edges
 }
 
-/// Time `SPMV_ITERS` products `y = A·x`; returns seconds per batch.
-fn time_spmv(ctx: &Ctx, a: &CsrMatrix) -> f64 {
-    let policy = ctx.host();
-    let x: Vec<f64> = (0..a.n_cols).map(|i| 1.0 + (i % 7) as f64).collect();
-    let mut y = vec![0.0; a.n_rows];
-    spmv(&policy, a, &x, &mut y); // warm-up
-    let (_, secs) = median_time(ctx.runs, || {
-        for _ in 0..SPMV_ITERS {
-            spmv(&policy, a, &x, &mut y);
-        }
-        y[0]
-    });
-    secs
-}
-
 /// Run the ingest benchmark, write `BENCH_ingest.json`, and (with
-/// `--baseline FILE`) gate the timings against a committed baseline.
-/// Returns the process exit code (nonzero on regression).
+/// `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
+    let exp = experiment();
+    let mut table = exp.table(ctx);
     let chunk_edges: usize = if ctx.quick { 1024 } else { 1 << 16 };
-    let mut entries = Vec::new();
+    let policy = ctx.host();
 
-    for (name, g) in suite(ctx) {
-        let edges = upper_edges(&g);
+    for sg in exp.graphs(ctx) {
+        let (name, g) = (&sg.name, &sg.g);
+        let edges = upper_edges(g);
         let m = edges.len();
 
-        // Warm-up (pool spin-up, allocator, page faults) before timing.
-        let _ = from_edges_with_mode(&ctx.host(), g.n(), &edges, MergeMode::Sum);
-        let (inmem, inmem_secs) = median_time(ctx.runs, || {
-            from_edges_with_mode(&ctx.host(), g.n(), &edges, MergeMode::Sum)
-        });
-        assert_eq!(inmem, g, "in-memory rebuild must reproduce the graph");
+        let (inmem, mut inmem_m) = table.measure(
+            |p| from_edges_with_mode(p, g.n(), &edges, MergeMode::Sum),
+            None,
+        );
+        assert_eq!(&inmem, g, "in-memory rebuild must reproduce the graph");
+        inmem_m.aux_bytes_per_edge = Some((m * EDGE_ITEM_BYTES) as f64 / m.max(1) as f64);
 
-        let opts = IngestOptions {
-            chunk_edges,
-            policy: ctx.host(),
-        };
-        let _ = build_csr(&mut SliceSource::new(g.n(), &edges), MergeMode::Sum, &opts).unwrap();
-        let ((streamed, stats), streamed_secs) = median_time(ctx.runs, || {
+        let streamed = |p: &ExecPolicy| {
+            let opts = IngestOptions {
+                chunk_edges,
+                policy: p.clone(),
+            };
             let mut src = SliceSource::new(g.n(), &edges);
-            build_csr(&mut src, MergeMode::Sum, &opts).unwrap()
-        });
+            build_csr(&mut src, MergeMode::Sum, &opts).expect("in-memory edge source")
+        };
+        let ((streamed, stats), mut streamed_m) = table.measure(streamed, None);
         assert_eq!(
             streamed, inmem,
             "{name}: streamed build must be bit-identical to in-memory"
@@ -140,132 +106,43 @@ pub fn run(ctx: &Ctx) -> i32 {
             stats.offsets_are_u32,
             "{name}: u32 offset mode must engage on every bench graph"
         );
-
-        // Heap attribution: one untimed run per variant inside an
-        // allocator scope (timing loops are left unscoped). The streamed
-        // build's peak must match the predictable budget — the chunk
-        // staging buffer plus the finished CSR — within 10%: the two-pass
-        // scatter arrays (wide degree scan + narrow cursors) are sized to
-        // land on that envelope, and a regression here means the builder
-        // grew a hidden copy.
-        let (_, inmem_mem) = mlcg_par::mem::measure(|| {
-            from_edges_with_mode(&ctx.host(), g.n(), &edges, MergeMode::Sum)
-        });
-        let (_, streamed_mem) = mlcg_par::mem::measure(|| {
-            let mut src = SliceSource::new(g.n(), &edges);
-            build_csr(&mut src, MergeMode::Sum, &opts).unwrap()
-        });
+        // The streamed build's peak must match the predictable budget —
+        // the chunk staging buffer plus the finished CSR — within 10%: the
+        // two-pass scatter arrays (wide degree scan + narrow cursors) are
+        // sized to land on that envelope, and a regression here means the
+        // builder grew a hidden copy.
+        let peak = streamed_m.peak_bytes.expect("measure records the heap");
         let expected = (stats.peak_staging_bytes + streamed.heap_bytes()) as f64;
-        let ratio = streamed_mem.peak_bytes as f64 / expected;
+        let ratio = peak as f64 / expected;
         assert!(
             (0.9..=1.1).contains(&ratio),
-            "{name}: streamed peak heap {} is {:.3}x the staging+CSR budget {}",
-            streamed_mem.peak_bytes,
-            ratio,
+            "{name}: streamed peak heap {peak} is {ratio:.3}x the staging+CSR budget {}",
             expected as u64
         );
+        streamed_m.aux_bytes_per_edge = Some(stats.peak_staging_bytes as f64 / m.max(1) as f64);
+        streamed_m.chunks = Some(stats.chunks);
 
-        let a32 = CsrMatrix::from_graph(&g);
+        let a32 = CsrMatrix::from_graph(g);
         assert!(
             a32.row_ptr.is_u32(),
             "{name}: adaptive matrix must inherit narrow offsets"
         );
         let mut awide = a32.clone();
         awide.widen_offsets();
-        let spmv_u32_secs = time_spmv(ctx, &a32);
-        let spmv_usize_secs = time_spmv(ctx, &awide);
-
-        entries.push(Entry {
-            name,
-            n: g.n(),
-            m,
-            inmem_secs,
-            inmem_aux_per_edge: (m * EDGE_ITEM_BYTES) as f64 / m.max(1) as f64,
-            inmem_peak_bytes: inmem_mem.peak_bytes,
-            streamed_secs,
-            streamed_aux_per_edge: stats.peak_staging_bytes as f64 / m.max(1) as f64,
-            streamed_peak_bytes: streamed_mem.peak_bytes,
-            chunks: stats.chunks,
-            spmv_u32_secs,
-            spmv_usize_secs,
-        });
+        let x: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut y = vec![0.0; g.n()];
+        let mut products = |a: &CsrMatrix| {
+            let batch = || {
+                for _ in 0..SPMV_ITERS {
+                    spmv(&policy, a, &x, &mut y);
+                }
+                y[0]
+            };
+            table.time(batch, None).1
+        };
+        let (spmv_u32, spmv_usize) = (products(&a32), products(&awide));
+        let measures = vec![inmem_m, streamed_m, spmv_u32, spmv_usize];
+        table.push(&sg, measures, vec![]);
     }
-
-    header(&[
-        "graph",
-        "n",
-        "m",
-        "inmem s",
-        "aux B/e",
-        "inmem peak",
-        "streamed s",
-        "aux B/e",
-        "str peak",
-        "chunks",
-        "spmv u32 s",
-        "spmv usize s",
-    ]);
-    for e in &entries {
-        row(&[
-            e.name.clone(),
-            e.n.to_string(),
-            e.m.to_string(),
-            format!("{:.4}", e.inmem_secs),
-            format!("{:.1}", e.inmem_aux_per_edge),
-            mlcg_par::mem::fmt_bytes(e.inmem_peak_bytes),
-            format!("{:.4}", e.streamed_secs),
-            format!("{:.2}", e.streamed_aux_per_edge),
-            mlcg_par::mem::fmt_bytes(e.streamed_peak_bytes),
-            e.chunks.to_string(),
-            format!("{:.5}", e.spmv_u32_secs),
-            format!("{:.5}", e.spmv_usize_secs),
-        ]);
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-ingest\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str(&format!("  \"chunk_edges\": {chunk_edges},\n"));
-    json.push_str(&format!("  \"spmv_iters\": {SPMV_ITERS},\n"));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"inmem\": {{\"seconds\": {:.6}, \"aux_bytes_per_edge\": {:.2}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"streamed\": {{\"seconds\": {:.6}, \"aux_bytes_per_edge\": {:.2}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}, \"chunks\": {}}}, \
-             \"spmv_u32\": {{\"seconds\": {:.6}}}, \
-             \"spmv_usize\": {{\"seconds\": {:.6}}}}}{}\n",
-            e.name,
-            e.n,
-            e.m,
-            e.inmem_secs,
-            e.inmem_aux_per_edge,
-            e.inmem_peak_bytes,
-            e.inmem_peak_bytes as f64 / e.m.max(1) as f64,
-            e.streamed_secs,
-            e.streamed_aux_per_edge,
-            e.streamed_peak_bytes,
-            e.streamed_peak_bytes as f64 / e.m.max(1) as f64,
-            e.chunks,
-            e.spmv_u32_secs,
-            e.spmv_usize_secs,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_ingest.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-ingest: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    table.finish(&[("chunk_edges", chunk_edges), ("spmv_iters", SPMV_ITERS)])
 }

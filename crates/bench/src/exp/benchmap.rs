@@ -5,97 +5,58 @@
 //! (rmat, star — skewed degrees, where the work queue stays long and the
 //! parallel compaction plus the fused relabel have real work to do). For
 //! each graph and each of the paper's Table IV methods this times one
-//! `find_mapping_in` on the host policy through a warm [`MapWorkspace`]
-//! (median of `--runs`), plus a `hierarchy` variant that runs the full
-//! multilevel driver and reports the summed per-level mapping seconds —
-//! the number the level-reused workspace improves.
+//! `find_mapping_in` on the host policy through a warm [`MapWorkspace`],
+//! plus a `hierarchy` variant that runs the full multilevel driver and
+//! reports the summed per-level mapping seconds — the number the
+//! level-reused workspace improves.
 //!
-//! Peak heap comes from an untimed [`mlcg_par::mem::measure`] run under
-//! the *serial* policy through the same warm workspace: allocator scopes
-//! attribute on the allocating thread only, so the serial run captures the
-//! full mapping envelope (output labels, relabel flag, per-call sort
-//! scratch) deterministically, where a host-policy run would silently drop
-//! worker-side allocations. The warm-up run doubles as the suite's
-//! fresh-vs-shared workspace identity cross-check.
-//!
-//! Results go to `target/repro/BENCH_map.json`; `--baseline FILE` gates
-//! every variant's `seconds`, `peak_bytes`, and `bytes_per_vertex` like
-//! the other bench gates.
+//! Peak heap comes from an untimed run under the *serial* policy through
+//! a warm workspace, which captures the full mapping envelope (output
+//! labels, relabel flag, per-call sort scratch) deterministically. Before
+//! timing, each method is cross-checked for fresh-vs-shared workspace
+//! identity, and `mis2` for policy invariance. Timing, results file and
+//! gate: [`crate::gated`].
 
-use crate::harness::{header, median_time, row, Ctx};
-use mlcg_coarsen::{
-    coarsen, find_mapping, find_mapping_in, CoarsenOptions, MapMethod, MapWorkspace,
-};
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
-use mlcg_graph::Csr;
-use mlcg_par::{ExecPolicy, TraceCollector};
-use std::path::PathBuf;
+use crate::gated::{Experiment, Key, Variant};
+use crate::harness::Ctx;
+use mlcg_coarsen::{find_mapping, find_mapping_in, Hierarchy, MapMethod, MapWorkspace};
+use mlcg_par::{Backend, ExecPolicy};
 
-struct Variant {
-    key: String,
-    seconds: f64,
-    peak_bytes: u64,
-}
-
-/// Floor for recorded timings: the gate is relative
-/// (`current > baseline * (1 + noise)`), so a near-zero median in the
-/// committed baseline would fail on any positive current value. 10 µs is
-/// far below every real suite timing and far above timer noise.
-const SECONDS_FLOOR: f64 = 1e-5;
-
-struct Entry {
-    name: String,
-    class: &'static str, // "regular" | "hub-heavy"
-    n: usize,
-    m: usize,
-    variants: Vec<Variant>,
-}
-
-fn suite(ctx: &Ctx) -> Vec<(String, &'static str, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".into(), "regular", gen::grid2d(64, 64)),
-            ("path-4096".into(), "regular", gen::path(4096)),
-            (
-                "rmat-10".into(),
-                "hub-heavy",
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("star-8192".into(), "hub-heavy", gen::star(8192)),
-        ]
-    } else {
-        vec![
-            ("grid2d-512x512".into(), "regular", gen::grid2d(512, 512)),
-            ("path-65536".into(), "regular", gen::path(65536)),
-            (
-                "rmat-15".into(),
-                "hub-heavy",
-                largest_component(&gen::rmat(15, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("star-262144".into(), "hub-heavy", gen::star(262144)),
-        ]
+/// Suite, variants and members of `bench-map`.
+pub fn experiment() -> Experiment {
+    let methods = MapMethod::TABLE4.map(|m| m.name());
+    Experiment {
+        name: "bench-map",
+        seconds_key: "seconds",
+        per_vertex: true,
+        heap_policy: ExecPolicy::serial(),
+        grid: 512,
+        rmat: 15,
+        skewed: Some("hub-heavy"),
+        variants: Variant::all(
+            methods.into_iter().chain(["hierarchy"]),
+            &[Key::Seconds, Key::Heap],
+        ),
     }
 }
 
 /// Run the mapping benchmark, write `BENCH_map.json`, and (with
-/// `--baseline FILE`) gate seconds and peak bytes against a committed
-/// baseline. Returns the process exit code (nonzero on regression).
+/// `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
+    let exp = experiment();
+    let mut table = exp.table(ctx);
     let host = ctx.host();
     let serial = ExecPolicy::serial();
-    let mut entries = Vec::new();
 
-    for (name, class, g) in suite(ctx) {
-        let mut variants = Vec::new();
+    for sg in exp.graphs(ctx) {
+        let (name, g) = (&sg.name, &sg.g);
+        let mut measures = Vec::new();
 
         for method in MapMethod::TABLE4 {
+            // A shared workspace must never change the serial result.
             let mut ws = MapWorkspace::new();
-            // Warm-up (pool spin-up, page faults, workspace sizing) doubles
-            // as the suite's fresh-vs-shared identity cross-check: a shared
-            // workspace must never change the serial result.
-            let (fresh, _) = find_mapping(&serial, &g, method, ctx.seed);
-            let (shared, _) = find_mapping_in(&serial, &g, method, ctx.seed, &mut ws);
+            let (fresh, _) = find_mapping(&serial, g, method, ctx.seed);
+            let (shared, _) = find_mapping_in(&serial, g, method, ctx.seed, &mut ws);
             assert_eq!(
                 fresh,
                 shared,
@@ -105,102 +66,31 @@ pub fn run(ctx: &Ctx) -> i32 {
             if method == MapMethod::Mis2 {
                 // The one Table IV method that is schedule-deterministic:
                 // the host policy must reproduce the serial labels exactly.
-                let (parallel, _) = find_mapping(&host, &g, method, ctx.seed);
+                let (parallel, _) = find_mapping(&host, g, method, ctx.seed);
                 assert_eq!(parallel, fresh, "{name}: mis2 must be policy-invariant");
             }
+            // Timed and heap runs each reuse a workspace warmed under
+            // their own policy only.
             let mut ws_host = MapWorkspace::new();
-            find_mapping_in(&host, &g, method, ctx.seed, &mut ws_host); // warm
-            let (_, seconds) = median_time(ctx.runs, || {
-                find_mapping_in(&host, &g, method, ctx.seed, &mut ws_host)
-            });
-            let seconds = seconds.max(SECONDS_FLOOR);
-            // Untimed serial run through the warm workspace for
-            // deterministic full-envelope heap attribution (module docs).
-            let (_, mem) =
-                mlcg_par::mem::measure(|| find_mapping_in(&serial, &g, method, ctx.seed, &mut ws));
-            variants.push(Variant {
-                key: method.name().to_string(),
-                seconds,
-                peak_bytes: mem.peak_bytes,
-            });
+            let map = |p: &ExecPolicy| {
+                let ws = match p.backend {
+                    Backend::Serial => &mut ws,
+                    _ => &mut ws_host,
+                };
+                find_mapping_in(p, g, method, ctx.seed, ws)
+            };
+            let (_, m) = table.measure(map, None);
+            measures.push(m);
         }
 
-        // Full multilevel driver with the default method: summed per-level
-        // mapping seconds — the workspace-reuse number.
-        let copts = CoarsenOptions {
-            seed: ctx.seed,
-            trace: TraceCollector::disabled(),
-            ..Default::default()
-        };
-        let _ = coarsen(&host, &g, &copts);
-        let (h, _) = median_time(ctx.runs, || coarsen(&host, &g, &copts));
-        let seconds: f64 = h.stats.map_seconds.iter().sum::<f64>().max(SECONDS_FLOOR);
-        let (_, mem) = mlcg_par::mem::measure(|| coarsen(&serial, &g, &copts));
-        variants.push(Variant {
-            key: "hierarchy".to_string(),
-            seconds,
-            peak_bytes: mem.peak_bytes,
-        });
-
-        entries.push(Entry {
-            name,
-            class,
-            n: g.n(),
-            m: g.m(),
-            variants,
-        });
-    }
-
-    header(&["graph", "class", "n", "m", "variant", "seconds", "peak"]);
-    for e in &entries {
-        for v in &e.variants {
-            row(&[
-                e.name.clone(),
-                e.class.to_string(),
-                e.n.to_string(),
-                e.m.to_string(),
-                v.key.clone(),
-                format!("{:.5}", v.seconds),
-                mlcg_par::mem::fmt_bytes(v.peak_bytes),
-            ]);
-        }
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-map\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"class\": \"{}\", \"n\": {}, \"m\": {}",
-            e.name, e.class, e.n, e.m
+        let map_seconds = |h: &Hierarchy| h.stats.map_seconds.iter().sum();
+        measures.push(super::benchcoarsen::hierarchy(
+            &table,
+            g,
+            ctx.seed,
+            map_seconds,
         ));
-        for v in &e.variants {
-            json.push_str(&format!(
-                ", \"{}\": {{\"seconds\": {:.6}, \"peak_bytes\": {}, \"bytes_per_vertex\": {:.2}}}",
-                v.key,
-                v.seconds,
-                v.peak_bytes,
-                v.peak_bytes as f64 / e.n.max(1) as f64
-            ));
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
+        table.push(&sg, measures, vec![]);
     }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_map.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-map: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    table.finish(&[])
 }

@@ -1,8 +1,6 @@
 //! `bench-parref` — parallel coarse-level refinement benchmark.
 //!
-//! Runs a fixed-seed graph suite (the `bench-fm` quick suite, or a
-//! larger full suite sized so the parallel engine's crossover genuinely
-//! fires — see [`CROSSOVER_FULL`]) through two uncoarsening paths on one
+//! Runs a fixed-seed graph suite through two uncoarsening paths on one
 //! shared hierarchy per graph:
 //!
 //! * `seq_boundary` — the PR 2 sequential boundary-driven FM driver
@@ -14,23 +12,25 @@
 //!   the crossover threshold, sequential boundary FM polish below it and
 //!   after the rounds.
 //!
-//! Records per-graph cut and refinement-only median seconds for both,
-//! writes `target/repro/BENCH_parref.json`, and (with `--baseline FILE`)
-//! gates the timings like `bench-fm`. With `--trace`, one traced hybrid
-//! run per graph emits the `parref/rounds` counter and the per-round
-//! `parref/frontier_size` gauges plus `par_for/parref/*` dispatch
-//! records.
+//! Records per-graph cut and refinement-only seconds for both, plus their
+//! `speedup`. The full suite is larger than `bench-fm`'s on purpose: the
+//! parallel engine only engages once a level's projected frontier crosses
+//! a dispatch grain, and rmat-15 is the smallest suite member whose
+//! finest-level frontier (~15k vertices) does. The grid and path stay
+//! below the crossover at every level and document the other half of the
+//! story: thin-boundary graphs keep the sequential fast path, so their two
+//! variants should measure as noise around parity. With `--trace`, one
+//! traced hybrid run per graph emits the `parref/rounds` counter and the
+//! per-round `parref/frontier_size` gauges plus `par_for/parref/*`
+//! dispatch records. Timing, results file and gate: [`crate::gated`].
 
-use crate::harness::{header, median_time, row, secs, Ctx};
+use crate::gated::{speedup, Experiment, Key, Variant};
+use crate::harness::Ctx;
 use mlcg_coarsen::{coarsen, CoarsenOptions};
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
 use mlcg_graph::metrics::edge_cut;
-use mlcg_graph::Csr;
-use mlcg_par::TraceCollector;
+use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_partition::fm::{fm_uncoarsen_frac, fm_uncoarsen_frac_hybrid, FmConfig};
 use mlcg_partition::parref::ParRefConfig;
-use std::path::PathBuf;
 
 /// Forced crossover threshold for the `par_coarse` variant in `--quick`
 /// mode. The [`ParRefConfig`] default ties the threshold to
@@ -50,187 +50,69 @@ const CROSSOVER_QUICK: usize = 512;
 /// production crossover story at a host-independent pin.
 const CROSSOVER_FULL: usize = 2048;
 
-struct Entry {
-    name: String,
-    n: usize,
-    m: usize,
-    seq_cut: u64,
-    seq_secs: f64,
-    seq_peak_bytes: u64,
-    par_cut: u64,
-    par_secs: f64,
-    par_peak_bytes: u64,
+/// The crossover threshold `ctx` selects (`bench-kway` shares it).
+pub(crate) fn crossover(ctx: &Ctx) -> usize {
+    if ctx.quick {
+        CROSSOVER_QUICK
+    } else {
+        CROSSOVER_FULL
+    }
 }
 
-fn suite(ctx: &Ctx) -> Vec<(String, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".to_string(), gen::grid2d(64, 64)),
-            (
-                "rmat-10".to_string(),
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-4096".to_string(), gen::path(4096)),
-        ]
-    } else {
-        // Bigger graphs than bench-fm's full suite on purpose: the
-        // parallel engine only engages once a level's projected frontier
-        // crosses a dispatch grain, and rmat-15 is the smallest suite
-        // member whose finest-level frontier (~15k vertices) does. The
-        // grid and path stay below the crossover at every level and
-        // document the other half of the story: thin-boundary graphs
-        // keep the PR 2 sequential fast path, so their two variants
-        // should measure as noise around parity.
-        vec![
-            ("grid2d-512x512".to_string(), gen::grid2d(512, 512)),
-            (
-                "rmat-15".to_string(),
-                largest_component(&gen::rmat(15, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-65536".to_string(), gen::path(65536)),
-        ]
+/// Suite, variants and members of `bench-parref`.
+pub fn experiment() -> Experiment {
+    Experiment {
+        name: "bench-parref",
+        seconds_key: "refine_seconds",
+        per_vertex: false,
+        heap_policy: ExecPolicy::host(),
+        grid: 512,
+        rmat: 15,
+        skewed: None,
+        variants: Variant::all(
+            ["seq_boundary", "par_coarse"],
+            &[Key::Cut, Key::Seconds, Key::Heap],
+        ),
     }
 }
 
 /// Run the parallel-refinement benchmark, write `BENCH_parref.json`, and
-/// (with `--baseline FILE`) gate the timings against a committed
-/// baseline. Returns the process exit code (nonzero on regression).
+/// (with `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
+    let exp = experiment();
+    let mut table = exp.table(ctx);
     let policy = ctx.host();
     let cfg = FmConfig::default();
-    let crossover = if ctx.quick {
-        CROSSOVER_QUICK
-    } else {
-        CROSSOVER_FULL
-    };
+    let crossover = crossover(ctx);
     let parref = ParRefConfig {
         epsilon: cfg.epsilon,
         crossover_frontier: Some(crossover),
         ..ParRefConfig::default()
     };
-    let mut entries = Vec::new();
+    let off = TraceCollector::disabled();
 
-    for (name, g) in suite(ctx) {
-        let h = coarsen(&policy, &g, &CoarsenOptions::default());
-        let (seq_part, seq_secs) =
-            median_time(ctx.runs, || fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        let (par_part, par_secs) = median_time(ctx.runs, || {
-            fm_uncoarsen_frac_hybrid(
-                &policy,
-                &h,
-                &cfg,
-                &parref,
-                0.5,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
+    for sg in exp.graphs(ctx) {
+        let g = &sg.g;
+        let h = coarsen(&policy, g, &CoarsenOptions::default());
+        let (seq_part, mut seq) =
+            table.measure(|_| fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed), None);
+        seq.cut = Some(edge_cut(g, &seq_part));
+        let (par_part, mut par) = table.measure(
+            |p| fm_uncoarsen_frac_hybrid(p, &h, &cfg, &parref, 0.5, ctx.seed, &off),
+            None,
+        );
+        par.cut = Some(edge_cut(g, &par_part));
+        let notes = vec![speedup(&seq, &par)];
+        table.push(&sg, vec![seq, par], notes);
+        table.trace(&sg, Some("parref/rounds"), |trace| {
+            let opts = CoarsenOptions {
+                trace: trace.clone(),
+                seed: ctx.seed,
+                ..Default::default()
+            };
+            let h = coarsen(&policy, g, &opts);
+            fm_uncoarsen_frac_hybrid(&policy, &h, &cfg, &parref, 0.5, ctx.seed, trace);
         });
-        // Heap attribution: one untimed run per variant inside an
-        // allocator scope (timing loops are left unscoped).
-        let (_, seq_mem) = mlcg_par::mem::measure(|| fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        let (_, par_mem) = mlcg_par::mem::measure(|| {
-            fm_uncoarsen_frac_hybrid(
-                &policy,
-                &h,
-                &cfg,
-                &parref,
-                0.5,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
-        });
-        entries.push(Entry {
-            name: name.clone(),
-            n: g.n(),
-            m: g.m(),
-            seq_cut: edge_cut(&g, &seq_part),
-            seq_secs,
-            seq_peak_bytes: seq_mem.peak_bytes,
-            par_cut: edge_cut(&g, &par_part),
-            par_secs,
-            par_peak_bytes: par_mem.peak_bytes,
-        });
-        if ctx.trace_enabled() {
-            let trace = ctx.trace_collector();
-            let _p = mlcg_par::profile::install(&trace);
-            let h_traced = coarsen(
-                &policy,
-                &g,
-                &CoarsenOptions {
-                    trace: trace.clone(),
-                    seed: ctx.seed,
-                    ..Default::default()
-                },
-            );
-            fm_uncoarsen_frac_hybrid(&policy, &h_traced, &cfg, &parref, 0.5, ctx.seed, &trace);
-            let report = trace.report();
-            println!(
-                "bench-parref/{name}: parref/rounds = {}",
-                report.counter("parref/rounds")
-            );
-            ctx.emit_trace(&format!("bench-parref/{name}"), &report);
-        }
     }
-
-    header(&[
-        "graph", "n", "m", "seq cut", "seq s", "seq peak", "par cut", "par s", "par peak",
-        "speedup",
-    ]);
-    for e in &entries {
-        row(&[
-            e.name.clone(),
-            e.n.to_string(),
-            e.m.to_string(),
-            e.seq_cut.to_string(),
-            secs(e.seq_secs),
-            mlcg_par::mem::fmt_bytes(e.seq_peak_bytes),
-            e.par_cut.to_string(),
-            secs(e.par_secs),
-            mlcg_par::mem::fmt_bytes(e.par_peak_bytes),
-            format!("{:.2}x", e.seq_secs / e.par_secs.max(1e-12)),
-        ]);
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-parref\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str(&format!("  \"crossover_frontier\": {crossover},\n"));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"seq_boundary\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"par_coarse\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"speedup\": {:.3}}}{}\n",
-            e.name,
-            e.n,
-            e.m,
-            e.seq_cut,
-            e.seq_secs,
-            e.seq_peak_bytes,
-            e.seq_peak_bytes as f64 / e.m.max(1) as f64,
-            e.par_cut,
-            e.par_secs,
-            e.par_peak_bytes,
-            e.par_peak_bytes as f64 / e.m.max(1) as f64,
-            e.seq_secs / e.par_secs.max(1e-12),
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_parref.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-parref: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    table.finish(&[("crossover_frontier", crossover)])
 }

@@ -16,7 +16,7 @@ pub struct Ctx {
     pub seed: u64,
     /// Lower the power-iteration caps (smoke-test mode).
     pub fast: bool,
-    /// Shrink benchmark suites for CI smoke runs (`bench-fm`).
+    /// Shrink benchmark suites for CI smoke runs (`bench-*`).
     pub quick: bool,
     /// Collect and emit pipeline traces (spans/counters/gauges) as
     /// JSON-lines plus a human-readable tree.
@@ -54,30 +54,36 @@ impl Default for Ctx {
 
 impl Ctx {
     /// Parse `--scale/--runs/--seed/--fast/--quick` style arguments.
-    pub fn from_args(args: &[String]) -> Ctx {
+    /// An unknown option, a missing value, or a value that does not parse
+    /// is an error: a mistyped gate command must not pass without gating.
+    pub fn from_args(args: &[String]) -> Result<Ctx, String> {
         let mut ctx = Ctx::default();
         let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => ctx.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-                "--runs" => ctx.runs = it.next().and_then(|v| v.parse().ok()).unwrap_or(3).max(1),
-                "--seed" => ctx.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(42),
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => ctx.scale = parse(flag, value()?)?,
+                "--runs" => ctx.runs = parse(flag, value()?)?,
+                "--seed" => ctx.seed = parse(flag, value()?)?,
                 "--fast" => ctx.fast = true,
                 "--quick" => ctx.quick = true,
                 "--trace" => ctx.trace = true,
-                "--trace-out" => ctx.trace_out = it.next().cloned(),
-                "--baseline" => ctx.baseline = it.next().cloned(),
-                "--noise" => {
-                    ctx.noise = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(ctx.noise)
-                        .max(0.0)
-                }
-                other => eprintln!("warning: ignoring unknown option {other}"),
+                "--trace-out" => ctx.trace_out = Some(value()?.clone()),
+                "--baseline" => ctx.baseline = Some(value()?.clone()),
+                "--noise" => ctx.noise = parse(flag, value()?)?,
+                other => return Err(format!("unknown option {other}")),
             }
         }
-        ctx
+        if ctx.runs == 0 {
+            return Err("--runs must be at least 1".into());
+        }
+        if !(ctx.noise >= 0.0 && ctx.noise.is_finite()) {
+            return Err(format!(
+                "--noise must be a finite number >= 0, got {}",
+                ctx.noise
+            ));
+        }
+        Ok(ctx)
     }
 
     /// The Chrome-trace output path: `--trace-out`, falling back to the
@@ -161,6 +167,13 @@ impl Ctx {
     }
 }
 
+/// Parse the value of `flag`.
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value '{value}'"))
+}
+
 /// Run `f` `runs` times and return `(last_result, median_seconds)`.
 pub fn median_time<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     assert!(runs >= 1);
@@ -221,25 +234,58 @@ pub fn ratio(r: f64) -> String {
 mod tests {
     use super::*;
 
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn ctx_parses_args() {
-        let args: Vec<String> = ["--scale", "2", "--runs", "5", "--seed", "7", "--fast"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let ctx = Ctx::from_args(&args);
+        let ctx = Ctx::from_args(&args(&[
+            "--scale", "2", "--runs", "5", "--seed", "7", "--fast",
+        ]))
+        .unwrap();
         assert_eq!(ctx.scale, 2);
         assert_eq!(ctx.runs, 5);
         assert_eq!(ctx.seed, 7);
         assert!(ctx.fast);
+        let gate = Ctx::from_args(&args(&["--baseline", "b.json", "--noise", "3.0"])).unwrap();
+        assert_eq!(gate.baseline.as_deref(), Some("b.json"));
+        assert_eq!(gate.noise, 3.0);
     }
 
     #[test]
     fn ctx_defaults() {
-        let ctx = Ctx::from_args(&[]);
+        let ctx = Ctx::from_args(&[]).unwrap();
         assert_eq!(ctx.scale, 0);
         assert_eq!(ctx.runs, 3);
         assert!(!ctx.fast);
+    }
+
+    #[test]
+    fn mistyped_option_is_an_error() {
+        let err = Ctx::from_args(&args(&["--quick", "--basline", "b.json"])).unwrap_err();
+        assert!(err.contains("--basline"), "{err}");
+    }
+
+    #[test]
+    fn trailing_option_without_value_is_an_error() {
+        let err = Ctx::from_args(&args(&["--quick", "--baseline"])).unwrap_err();
+        assert!(err.contains("--baseline needs a value"), "{err}");
+    }
+
+    #[test]
+    fn unparsable_runs_is_an_error() {
+        let err = Ctx::from_args(&args(&["--runs", "abc"])).unwrap_err();
+        assert!(err.contains("--runs") && err.contains("abc"), "{err}");
+        assert!(Ctx::from_args(&args(&["--runs", "0"])).is_err());
+    }
+
+    #[test]
+    fn unparsable_noise_is_an_error() {
+        let err = Ctx::from_args(&args(&["--noise", "3,0"])).unwrap_err();
+        assert!(err.contains("--noise") && err.contains("3,0"), "{err}");
+        assert!(Ctx::from_args(&args(&["--noise", "-1"])).is_err());
+        assert!(Ctx::from_args(&args(&["--noise", "inf"])).is_err());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! experiments: table1 table2 table3 table4 table5 table6
 //!              fig1 fig2 fig3-left fig3-mid fig3-right
-//!              ablate-dedup bench-fm extended-methods trace all
+//!              ablate-dedup extended-methods trace all
+//!              bench-coarsen bench-fm bench-ingest bench-kway bench-map
+//!              bench-parref   (gated: see [`gated`])
 //! options:     --scale <k>      corpus size (default 0; +1 doubles n)
 //!              --runs <r>       timed repetitions, median reported (default 3)
 //!              --seed <s>       RNG seed (default 42)
@@ -24,6 +26,8 @@
 //!                               = 25% slower counts as a regression)
 //! ```
 //!
+//! An unknown option or a malformed value prints the usage and exits 2.
+//!
 //! Environment: `MLCG_TRACE=1` enables tracing without the flag;
 //! `MLCG_TRACE_OUT=<f>` supplies a default Chrome-trace output path;
 //! `MLCG_VALIDATE=1` additionally runs opt-in invariant audits between
@@ -31,6 +35,7 @@
 
 pub mod compare;
 pub mod exp;
+pub mod gated;
 pub mod harness;
 
 pub use harness::Ctx;
