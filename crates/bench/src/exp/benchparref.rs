@@ -7,10 +7,10 @@
 //!   ([`fm_uncoarsen_frac`]), the production fast path under a serial
 //!   policy;
 //! * `par_coarse` — the hybrid driver
-//!   ([`fm_uncoarsen_frac_hybrid`]): frontier-based parallel
-//!   refinement rounds on every level whose projected frontier crosses
-//!   the crossover threshold, sequential boundary FM polish below it and
-//!   after the rounds.
+//!   ([`fm_uncoarsen_frac_hybrid`]): the frontier-based parallel
+//!   refinement rounds (the k-way round engine at `k = 2`) on every level
+//!   whose projected frontier crosses the crossover threshold, sequential
+//!   boundary FM polish below it and after the rounds.
 //!
 //! Records per-graph cut and refinement-only seconds for both, plus their
 //! `speedup`. The full suite is larger than `bench-fm`'s on purpose: the
@@ -20,8 +20,8 @@
 //! below the crossover at every level and document the other half of the
 //! story: thin-boundary graphs keep the sequential fast path, so their two
 //! variants should measure as noise around parity. With `--trace`, one
-//! traced hybrid run per graph emits the `parref/rounds` counter and the
-//! per-round `parref/frontier_size` gauges plus `par_for/parref/*`
+//! traced hybrid run per graph emits the `kwayref/rounds` counter and the
+//! per-round `kwayref/frontier_size` gauges plus `par_for/kwayref/*`
 //! dispatch records. Timing, results file and gate: [`crate::gated`].
 
 use crate::gated::{speedup, Experiment, Key, Variant};
@@ -30,10 +30,10 @@ use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_partition::fm::{fm_uncoarsen_frac, fm_uncoarsen_frac_hybrid, FmConfig};
-use mlcg_partition::parref::ParRefConfig;
+use mlcg_partition::kwayref::KwayRefineConfig;
 
 /// Forced crossover threshold for the `par_coarse` variant in `--quick`
-/// mode. The [`ParRefConfig`] default ties the threshold to
+/// mode. The [`KwayRefineConfig`] default ties the threshold to
 /// `HOST_GRAIN × workers`, which on the quick suite's small graphs
 /// disables the parallel engine entirely — correct for production,
 /// useless for tracking this code path in the CI gate. Quick mode pins
@@ -84,10 +84,9 @@ pub fn run(ctx: &Ctx) -> i32 {
     let policy = ctx.host();
     let cfg = FmConfig::default();
     let crossover = crossover(ctx);
-    let parref = ParRefConfig {
-        epsilon: cfg.epsilon,
+    let rounds = KwayRefineConfig {
         crossover_frontier: Some(crossover),
-        ..ParRefConfig::default()
+        ..KwayRefineConfig::default()
     };
     let off = TraceCollector::disabled();
 
@@ -98,20 +97,20 @@ pub fn run(ctx: &Ctx) -> i32 {
             table.measure(|_| fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed), None);
         seq.cut = Some(edge_cut(g, &seq_part));
         let (par_part, mut par) = table.measure(
-            |p| fm_uncoarsen_frac_hybrid(p, &h, &cfg, &parref, 0.5, ctx.seed, &off),
+            |p| fm_uncoarsen_frac_hybrid(p, &h, &cfg, &rounds, 0.5, ctx.seed, &off),
             None,
         );
         par.cut = Some(edge_cut(g, &par_part));
         let notes = vec![speedup(&seq, &par)];
         table.push(&sg, vec![seq, par], notes);
-        table.trace(&sg, Some("parref/rounds"), |trace| {
+        table.trace(&sg, Some("kwayref/rounds"), |trace| {
             let opts = CoarsenOptions {
                 trace: trace.clone(),
                 seed: ctx.seed,
                 ..Default::default()
             };
             let h = coarsen(&policy, g, &opts);
-            fm_uncoarsen_frac_hybrid(&policy, &h, &cfg, &parref, 0.5, ctx.seed, trace);
+            fm_uncoarsen_frac_hybrid(&policy, &h, &cfg, &rounds, 0.5, ctx.seed, trace);
         });
     }
     table.finish(&[("crossover_frontier", crossover)])

@@ -18,7 +18,7 @@
 //! uncoarsening never rescans interior vertices whose aggregate was
 //! interior one level down.
 
-use crate::parref::{parallel_refine_rounds, ParRefConfig, ParRefWorkspace};
+use crate::kwayref::{kway_parallel_refine_rounds, KwayRefWorkspace, KwayRefineConfig};
 use crate::result::{audit_partition, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
 use mlcg_graph::metrics::edge_cut;
@@ -100,8 +100,9 @@ pub struct FmRefineOutcome {
 }
 
 /// Per-side weight limits derived from a balance slack and a target split.
-/// Shared with the parallel refiner (`crate::parref`) so both refiners
-/// enforce the identical envelope.
+/// The parallel rounds take their bisection caps from here
+/// (`crate::kwayref`), so both 2-way refiners enforce the identical
+/// envelope.
 pub(crate) struct Balance {
     /// Final partitions must keep each side at or below its strict limit.
     pub(crate) strict: [u64; 2],
@@ -675,10 +676,10 @@ pub fn fm_uncoarsen_frac(h: &Hierarchy, cfg: &FmConfig, frac: f64, seed: u64) ->
 /// [`fm_uncoarsen_frac`] with an execution policy and a trace sink
 /// threaded into every per-level refinement.
 ///
-/// Delegates to [`fm_uncoarsen_frac_hybrid`] with a [`ParRefConfig`]
-/// derived from `cfg` (same epsilon, default crossover), so coarse levels
-/// whose projected frontier crosses the threshold refine with parallel
-/// rounds before the sequential boundary pass.
+/// Delegates to [`fm_uncoarsen_frac_hybrid`] with the default round
+/// configuration (default crossover), so coarse levels whose projected
+/// frontier crosses the threshold refine with parallel rounds before the
+/// sequential boundary pass.
 pub fn fm_uncoarsen_frac_traced(
     policy: &ExecPolicy,
     h: &Hierarchy,
@@ -687,11 +688,8 @@ pub fn fm_uncoarsen_frac_traced(
     seed: u64,
     trace: &TraceCollector,
 ) -> Vec<u32> {
-    let parref = ParRefConfig {
-        epsilon: cfg.epsilon,
-        ..ParRefConfig::default()
-    };
-    fm_uncoarsen_frac_hybrid(policy, h, cfg, &parref, frac, seed, trace)
+    let rounds = KwayRefineConfig::default();
+    fm_uncoarsen_frac_hybrid(policy, h, cfg, &rounds, frac, seed, trace)
 }
 
 /// The hybrid uncoarsening driver: initial partition on the coarsest
@@ -704,20 +702,23 @@ pub fn fm_uncoarsen_frac_traced(
 /// refinement cost tracks the boundary, not the graph.
 ///
 /// Crossover: when the policy is parallel and the projected frontier is at
-/// least [`ParRefConfig::crossover_threshold`] (default `HOST_GRAIN` ×
+/// least [`KwayRefineConfig::crossover_threshold`] (default `HOST_GRAIN` ×
 /// workers — a smaller frontier can't amortize waking the pool, per the
-/// dispatch-latency findings in DESIGN §8), the level first runs
-/// frontier-based parallel rounds ([`parallel_refine_rounds`]) to strip
-/// the bulk positive-gain moves in fused dispatches, then the sequential
-/// boundary pass polishes from the rounds' final frontier. Below the
-/// threshold — always on the finest levels, where the boundary is thin —
-/// the level runs the sequential boundary pass alone, keeping the PR 2
-/// fast path. One [`ParRefWorkspace`] serves every level.
+/// dispatch-latency findings in DESIGN §8), the level first runs the
+/// frontier-based parallel rounds ([`kway_parallel_refine_rounds`] at
+/// `k = 2` with the `frac` split) to strip the bulk positive-gain moves in
+/// fused dispatches, then the sequential boundary pass polishes from the
+/// rounds' final frontier. Below the threshold — always on the finest
+/// levels, where the boundary is thin — the level runs the sequential
+/// boundary pass alone. Of `rounds`, only the crossover and the round
+/// limit apply: each level's balance comes from `cfg`, with an absolute
+/// epsilon cap (`entry_slack: false`). One [`KwayRefWorkspace`] serves
+/// every level.
 pub fn fm_uncoarsen_frac_hybrid(
     policy: &ExecPolicy,
     h: &Hierarchy,
     cfg: &FmConfig,
-    parref: &ParRefConfig,
+    rounds: &KwayRefineConfig,
     frac: f64,
     seed: u64,
     trace: &TraceCollector,
@@ -728,39 +729,69 @@ pub fn fm_uncoarsen_frac_hybrid(
     let mut part = crate::ggg::greedy_graph_growing_frac(coarsest, seed, frac);
     let mut outcome =
         fm_refine_boundary_traced(coarsest, &mut part, &coarse_cfg, frac, None, trace);
-    let threshold = parref.crossover_threshold(policy);
-    let parallel_ok = policy.backend != Backend::Serial;
-    let mut ws = ParRefWorkspace::new();
+    let mut ws = KwayRefWorkspace::new();
     for level in (0..h.num_levels()).rev() {
         part = h.interpolate_level(level, &part);
         let frontier = h.project_frontier_ids(level, &outcome.boundary);
-        let g = h.graph_above(level);
         // Tighten to the caller's balance on the finest level only.
         let level_cfg = if level == 0 { cfg } else { &coarse_cfg };
-        let seed_vec = if parallel_ok && frontier.len() >= threshold {
-            let level_parref = ParRefConfig {
-                epsilon: level_cfg.epsilon,
-                handoff_frontier: threshold,
-                ..parref.clone()
-            };
-            parallel_refine_rounds(
-                policy,
-                g,
-                &mut part,
-                &level_parref,
-                frac,
-                level_cfg.vertex_slack,
-                Some(&frontier),
-                &mut ws,
-                trace,
-            )
-            .frontier
-        } else {
-            frontier
-        };
-        outcome = fm_refine_boundary_traced(g, &mut part, level_cfg, frac, Some(&seed_vec), trace);
+        outcome = rounds_then_fm(
+            policy,
+            h.graph_above(level),
+            &mut part,
+            level_cfg,
+            rounds,
+            frac,
+            Some(&frontier),
+            &mut ws,
+            trace,
+        );
     }
     part
+}
+
+/// One crossover-gated bisection refinement — a level of
+/// [`fm_uncoarsen_frac_hybrid`] and the spectral FM polish. Under a
+/// parallel policy with at least `rounds.crossover_threshold` candidates
+/// (the seed frontier, or all of `g` without one), parallel rounds run
+/// first and hand off to the sequential boundary FM once the frontier
+/// shrinks below the threshold; otherwise the sequential FM runs alone.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rounds_then_fm(
+    policy: &ExecPolicy,
+    g: &Csr,
+    part: &mut [u32],
+    cfg: &FmConfig,
+    rounds: &KwayRefineConfig,
+    frac: f64,
+    seed_frontier: Option<&[u32]>,
+    ws: &mut KwayRefWorkspace,
+    trace: &TraceCollector,
+) -> FmRefineOutcome {
+    let threshold = rounds.crossover_threshold(policy);
+    let candidates = seed_frontier.map_or(g.n(), <[u32]>::len);
+    if policy.backend == Backend::Serial || candidates < threshold {
+        return fm_refine_boundary_traced(g, part, cfg, frac, seed_frontier, trace);
+    }
+    let level = KwayRefineConfig {
+        epsilon: cfg.epsilon,
+        vertex_slack: cfg.vertex_slack,
+        entry_slack: false,
+        handoff_frontier: threshold,
+        ..rounds.clone()
+    };
+    let out = kway_parallel_refine_rounds(
+        policy,
+        g,
+        part,
+        2,
+        Some(frac),
+        &level,
+        seed_frontier,
+        ws,
+        trace,
+    );
+    fm_refine_boundary_traced(g, part, cfg, frac, Some(&out.frontier), trace)
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //! Each bisection goes through [`fm_bisect_frac`], whose uncoarsening is
 //! the hybrid driver (`fm_uncoarsen_frac_hybrid`): under a parallel
 //! policy, coarse levels whose projected frontier crosses the crossover
-//! threshold refine with frontier-based parallel rounds
-//! (`parallel_refine_rounds`) before the sequential boundary FM polish —
+//! threshold refine with the frontier-based parallel rounds
+//! (`kway_parallel_refine_rounds` at `k = 2`) before the sequential
+//! boundary FM polish —
 //! so recursive k-way inherits the parallel coarse-level engine on the
 //! top-level (largest) subproblems, where it pays, and stays on the
 //! sequential fast path for the small deep-recursion pieces.

@@ -1,35 +1,40 @@
-//! Direct k-way boundary refinement — the `parref` frontier round
-//! engine and the sequential boundary FM, generalized to move vertices
-//! between all `k` labels jointly.
+//! Parallel refinement rounds and direct k-way boundary refinement.
+//!
+//! The frontier round engine here is the crate's one parallel refiner:
+//! it runs the k-way post-pass and, at `k = 2` with a weight split, the
+//! coarse-level rounds of the hybrid bisection driver
+//! ([`crate::fm::fm_uncoarsen_frac_hybrid`]) and of the spectral FM
+//! polish. A sequential k-way boundary FM polishes after it.
 //!
 //! Recursive bisection never revisits a cut once a later split changes
 //! its context; this module refines the finished k-way labeling as a
-//! post-pass (see `crate::kway::kway_partition_cfg`). The bisection
-//! machinery carries over with three generalizations:
+//! post-pass (see `crate::kway::kway_partition_cfg`). Compared with the
+//! sequential 2-way FM, the engine makes three generalizations:
 //!
 //! - the mover stamp becomes a `(from, to)` label pair,
 //! - the per-vertex gain becomes *best-alternative-part*: with
 //!   `w(u, q)` the weight of `u`'s edges into part `q`, a vertex in
 //!   part `p` has `gain(u) = max_{q≠p} w(u, q) − w(u, p)`, computed
 //!   from a compact per-vertex neighbor-part weight map,
-//! - the two-sided balance budget becomes a uniform per-part capacity
-//!   (`total/k` scaled by epsilon), with the same lexicographic
-//!   `(excess, cut)` accept and reverse move-log rollback.
+//! - the two-sided balance budget becomes one capacity per part: uniform
+//!   (`total/k` scaled by epsilon) for k-way callers, or the 2-way FM's
+//!   two per-side caps for a bisection split, with the same
+//!   lexicographic `(excess, cut)` accept and reverse move-log rollback.
 //!
 //! # Round structure and determinism
 //!
-//! Bisection rounds alternate a single move direction; k-way rounds
-//! alternate a *parity class*: even rounds admit only moves with
+//! Rounds alternate a *parity class*: even rounds admit only moves with
 //! `from < to`, odd rounds only `from > to`, so two neighbors can never
-//! swap labels inside one round. Each round is three phases:
+//! swap labels inside one round (at `k = 2` this is the classic
+//! alternating move direction). Each round is three phases:
 //!
 //! 1. a parallel **gain** dispatch over the frontier computes each
 //!    vertex's best parity-admissible positive-gain target,
 //! 2. a **sequential selection** scan claims per-part weight budgets in
-//!    frontier order — replacing `parref`'s atomically raced budget
-//!    with a deterministic claim, so the mover set is a pure function
-//!    of (graph, partition, round) and the engine is bit-identical
-//!    across execution policies,
+//!    frontier order — a deterministic claim rather than an atomically
+//!    raced budget, so the mover set is a pure function of (graph,
+//!    partition, round) and the engine is bit-identical across
+//!    execution policies,
 //! 3. a parallel **apply** dispatch flips the movers and accumulates
 //!    the interference correction.
 //!
@@ -46,11 +51,11 @@
 //! ```
 //!
 //! For bisection (`pu = pv`, `tu = tv`) this reduces to the familiar
-//! `−2w` per internal mover edge — interference can only help. With
+//! `−2w` per internal mover edge — interference can only help, so at
+//! `k = 2` the wholesale round rollback is a defensive guard. With
 //! `k > 2` the correction can be *positive* (e.g. `a→b` adjacent to
-//! `b→c`), so unlike `parref` a round can worsen the cut and the
-//! wholesale round rollback is a real path, not just a defensive
-//! guard. The apply dispatch sums the ordered-pair terms (each
+//! `b→c`), so a round can worsen the cut and the rollback is a real
+//! path. The apply dispatch sums the ordered-pair terms (each
 //! unordered edge contributes twice — the expression is symmetric in
 //! `u` and `v`) and halves the total.
 //!
@@ -59,7 +64,7 @@
 //! parts, and degenerate inputs (`n < k`, heavy singleton parts) pass
 //! through untouched rather than collapsing.
 
-use crate::fm::seed_covers_boundary;
+use crate::fm::{seed_covers_boundary, Balance};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::atomic::as_atomic_u32;
@@ -95,10 +100,11 @@ pub struct KwayRefineConfig {
     /// Polish with the sequential k-way boundary FM after the parallel
     /// rounds, seeded by the rounds' final frontier.
     pub sequential_polish: bool,
-    /// Vertex count at which [`kway_direct_refine`] engages parallel
-    /// rounds under a parallel policy. `None` derives
-    /// `HOST_GRAIN × workers`, matching
-    /// [`crate::parref::ParRefConfig::crossover_frontier`].
+    /// Frontier size at which [`kway_direct_refine`] and the hybrid
+    /// bisection driver ([`crate::fm::fm_uncoarsen_frac_hybrid`]) engage
+    /// parallel rounds under a parallel policy. `None` derives
+    /// `HOST_GRAIN × workers` (a smaller frontier can't amortize waking
+    /// the pool — see the wakeup findings in DESIGN §8).
     pub crossover_frontier: Option<usize>,
     /// Stop the round loop once the rebuilt frontier drops below this
     /// size and hand the residue to the sequential polish (`0` never
@@ -122,50 +128,74 @@ impl Default for KwayRefineConfig {
 }
 
 impl KwayRefineConfig {
-    /// The size at which [`kway_direct_refine`] switches from the
-    /// sequential boundary pass to parallel rounds under `policy`.
+    /// The size at which the refiners switch from the sequential
+    /// boundary pass to parallel rounds under `policy`.
     pub fn crossover_threshold(&self, policy: &ExecPolicy) -> usize {
         self.crossover_frontier
             .unwrap_or_else(|| HOST_GRAIN.saturating_mul(policy.threads.max(1)))
     }
 }
 
-/// Uniform per-part weight caps: every part shares the same strict and
-/// loose limit around the `total/k` target (the k-way analogue of
-/// `fm::Balance`, which keys two per-side targets off `frac`).
+/// Per-part weight caps. K-way refinement gives every part the same cap
+/// around `total/k`; a bisection split takes the two per-side caps of
+/// `fm::Balance`, so one formula defines the 2-way envelope for both the
+/// sequential FM and the parallel rounds.
 struct KwayBalance {
-    /// Final partitions must keep every part at or below this.
-    strict: u64,
+    /// Final partitions must keep part `p` at or below `strict[p]`.
+    strict: Vec<u64>,
     /// During a round or pass, claims may wander one max-vertex past
     /// the strict limit; selection and repair restore strict balance.
-    loose: u64,
+    loose: Vec<u64>,
 }
 
 impl KwayBalance {
-    /// `floor` is a lower bound on the strict cap — the entry's heaviest
-    /// part under [`KwayRefineConfig::entry_slack`], `0` otherwise.
-    fn new(g: &Csr, k: usize, cfg: &KwayRefineConfig, floor: u64) -> KwayBalance {
-        let total = g.total_vwgt();
+    /// `split` is part 0's target share of a bisection (`k` must be 2);
+    /// `None` gives the uniform `total/k` caps. `floor` is a lower bound
+    /// on every strict cap — the entry's heaviest part under
+    /// [`KwayRefineConfig::entry_slack`], `0` otherwise.
+    fn new(
+        g: &Csr,
+        k: usize,
+        cfg: &KwayRefineConfig,
+        split: Option<f64>,
+        floor: u64,
+    ) -> KwayBalance {
         let max_vwgt = g.vwgt().iter().copied().max().unwrap_or(1);
-        let target = total as f64 / k as f64;
-        // Epsilon slack around the uniform target, but never below the
-        // rounded-up share (so exact balance stays reachable on integer
-        // weights), plus one max-vertex of slack on request.
-        let mut strict = ((target * (1.0 + cfg.epsilon)).floor() as u64).max(target.ceil() as u64);
-        if cfg.vertex_slack {
-            strict += max_vwgt;
+        let mut strict = match split {
+            Some(frac) => {
+                assert_eq!(k, 2, "a weight split applies to bisections only");
+                Balance::new(g, cfg.epsilon, cfg.vertex_slack, frac)
+                    .strict
+                    .to_vec()
+            }
+            None => {
+                let target = g.total_vwgt() as f64 / k as f64;
+                // Epsilon slack around the uniform target, but never below
+                // the rounded-up share (so exact balance stays reachable on
+                // integer weights), plus one max-vertex of slack on request.
+                let mut cap =
+                    ((target * (1.0 + cfg.epsilon)).floor() as u64).max(target.ceil() as u64);
+                if cfg.vertex_slack {
+                    cap += max_vwgt;
+                }
+                vec![cap; k]
+            }
+        };
+        for s in &mut strict {
+            *s = (*s).max(floor);
         }
-        strict = strict.max(floor);
-        KwayBalance {
-            strict,
-            loose: strict + max_vwgt,
-        }
+        let loose = strict.iter().map(|&s| s + max_vwgt).collect();
+        KwayBalance { strict, loose }
     }
 
-    /// Total weight above the strict cap, summed over parts (0 when
+    /// Total weight above the strict caps, summed over parts (0 when
     /// feasible).
     fn excess(&self, wpart: &[u64]) -> u64 {
-        wpart.iter().map(|&w| w.saturating_sub(self.strict)).sum()
+        wpart
+            .iter()
+            .zip(&self.strict)
+            .map(|(&w, &s)| w.saturating_sub(s))
+            .sum()
     }
 }
 
@@ -217,9 +247,10 @@ thread_local! {
     static SCRATCH: RefCell<PartScratch> = RefCell::new(PartScratch::default());
 }
 
-/// Reusable per-vertex scratch for [`kway_parallel_refine_rounds`] — the
-/// k-way counterpart of [`crate::parref::ParRefWorkspace`], with the
-/// mover stamp widened to a `(from, to)` label pair.
+/// Reusable per-vertex scratch for [`kway_parallel_refine_rounds`],
+/// carried across rounds and across uncoarsening levels so the round
+/// loop never allocates `O(n)`. Stamps are epoch-based: bumping an epoch
+/// invalidates every mark without touching memory.
 #[derive(Default)]
 pub struct KwayRefWorkspace {
     /// `moved_stamp[u] == round_epoch` marks `u` as a mover this round;
@@ -295,12 +326,15 @@ pub struct KwayRoundsOutcome {
     pub frontier: Vec<u32>,
 }
 
-/// Frontier-based parallel k-way refinement rounds — the engine behind
-/// [`kway_direct_refine`].
+/// Frontier-based parallel refinement rounds — the engine behind
+/// [`kway_direct_refine`] and the hybrid bisection driver.
 ///
-/// `part` must hold labels in `0..k`. `seed_frontier`, when given, must
-/// cover every vertex with a cut edge (a superset is fine); `None`
-/// seeds all of `0..n`. Each round emits a `kwayref/frontier_size`
+/// `part` must hold labels in `0..k`. `split`, when given, makes this a
+/// bisection (`k` must be 2) whose part 0 targets that share of the
+/// vertex weight, under the same per-side caps as the sequential 2-way
+/// FM; `None` gives every part the uniform `total/k` cap.
+/// `seed_frontier`, when given, must cover every vertex with a cut edge
+/// (a superset is fine); `None` seeds all of `0..n`. Each round emits a `kwayref/frontier_size`
 /// gauge and bumps the `kwayref/rounds` counter; the dispatches are
 /// profiled as `par_for/kwayref/gain` and `par_for/kwayref/apply`.
 ///
@@ -314,6 +348,7 @@ pub fn kway_parallel_refine_rounds(
     g: &Csr,
     part: &mut [u32],
     k: usize,
+    split: Option<f64>,
     cfg: &KwayRefineConfig,
     seed_frontier: Option<&[u32]>,
     ws: &mut KwayRefWorkspace,
@@ -343,7 +378,7 @@ pub fn kway_parallel_refine_rounds(
     } else {
         0
     };
-    let bal = KwayBalance::new(g, k, cfg, floor);
+    let bal = KwayBalance::new(g, k, cfg, split, floor);
 
     ws.ensure(n);
     ws.move_log.clear();
@@ -484,7 +519,7 @@ pub fn kway_parallel_refine_rounds(
             let from = part[u];
             let to = ws.cand_to[i].load(Ordering::Relaxed);
             let vw = g.vwgt()[u];
-            if counts[from as usize] <= 1 || wpart[to as usize] + vw > bal.loose {
+            if counts[from as usize] <= 1 || wpart[to as usize] + vw > bal.loose[to as usize] {
                 ws.code[i].store(1, Ordering::Relaxed);
                 continue;
             }
@@ -574,11 +609,12 @@ pub fn kway_parallel_refine_rounds(
         rebuild_frontier(g, ws, flen, true);
     }
 
-    // Balance repair to the entry excess, exactly as in the bisection
-    // engine: a feasible entry must leave inside the envelope, while
-    // pre-existing infeasibility is left for the sequential polish
-    // (whose best-prefix selection repairs balance while jointly
-    // optimizing the cut).
+    // Balance repair to the entry excess: a feasible entry must leave
+    // inside the envelope, while pre-existing infeasibility (an
+    // interpolated partition can exceed the finer level's caps, whose
+    // vertex slack shrinks with the finer max_vwgt) is left for the
+    // sequential polish, whose best-prefix selection repairs balance
+    // while jointly optimizing the cut.
     if bal.excess(&wpart) > entry_key.0 {
         repair_balance(
             g,
@@ -697,7 +733,7 @@ fn repair_balance(
             for u in candidates {
                 let ui = u as usize;
                 let p = part[ui] as usize;
-                if wpart[p] <= bal.strict || counts[p] <= 1 {
+                if wpart[p] <= bal.strict[p] || counts[p] <= 1 {
                     continue;
                 }
                 let vw = g.vwgt()[ui];
@@ -706,13 +742,13 @@ fn repair_balance(
                     sc.add(part[v as usize], w);
                 }
                 let own = sc.get(p as u32) as i64;
-                let shed = vw.min(wpart[p] - bal.strict);
+                let shed = vw.min(wpart[p] - bal.strict[p]);
                 for (q, &wq) in wpart.iter().enumerate() {
                     if q == p {
                         continue;
                     }
-                    let grown =
-                        (wq + vw).saturating_sub(bal.strict) - wq.saturating_sub(bal.strict);
+                    let cap = bal.strict[q];
+                    let grown = (wq + vw).saturating_sub(cap) - wq.saturating_sub(cap);
                     if grown >= shed {
                         continue; // move would not reduce the excess
                     }
@@ -902,7 +938,7 @@ pub fn kway_refine_boundary_traced(
     } else {
         0
     };
-    let bal = KwayBalance::new(g, k, cfg, floor);
+    let bal = KwayBalance::new(g, k, cfg, None, floor);
 
     let mut st = SeqState::new(n, k);
     let mut sc = PartScratch::default();
@@ -968,7 +1004,7 @@ pub fn kway_refine_boundary_traced(
             // over-limit part, interior vertices included.
             for u in 0..n {
                 let p = part[u] as usize;
-                if wpart[p] > bal.strict && stamp[u] != epoch {
+                if wpart[p] > bal.strict[p] && stamp[u] != epoch {
                     stamp[u] = epoch;
                     next.push(u as u32);
                     st.build(g, part, u, k, &mut sc);
@@ -999,7 +1035,9 @@ pub fn kway_refine_boundary_traced(
             // is over its strict cap, also admit a connectivity-free
             // least-loaded target so repair can move interior vertices.
             let stored = st.best_to[u];
-            let (to, tgain) = if (stored as usize) < k && wpart[stored as usize] + vw <= bal.loose {
+            let (to, tgain) = if (stored as usize) < k
+                && wpart[stored as usize] + vw <= bal.loose[stored as usize]
+            {
                 (stored, st.gain[u])
             } else {
                 let mut own = 0u64;
@@ -1009,7 +1047,7 @@ pub fn kway_refine_boundary_traced(
                         own = w;
                         continue;
                     }
-                    if wpart[q as usize] + vw > bal.loose {
+                    if wpart[q as usize] + vw > bal.loose[q as usize] {
                         continue;
                     }
                     if bestc.is_none_or(|(bw, bq)| w > bw || (w == bw && q < bq)) {
@@ -1018,10 +1056,10 @@ pub fn kway_refine_boundary_traced(
                 }
                 match bestc {
                     Some((w, q)) => (q, w as i64 - own as i64),
-                    None if wpart[from as usize] > bal.strict => {
+                    None if wpart[from as usize] > bal.strict[from as usize] => {
                         let mut bq: Option<u32> = None;
                         for q in 0..k as u32 {
-                            if q == from || wpart[q as usize] + vw > bal.loose {
+                            if q == from || wpart[q as usize] + vw > bal.loose[q as usize] {
                                 continue;
                             }
                             if bq.is_none_or(|b| wpart[q as usize] < wpart[b as usize]) {
@@ -1150,8 +1188,17 @@ pub fn kway_direct_refine(
             rounds_cfg.handoff_frontier = threshold;
         }
         let mut ws = KwayRefWorkspace::new();
-        let out =
-            kway_parallel_refine_rounds(policy, g, part, k, &rounds_cfg, None, &mut ws, trace);
+        let out = kway_parallel_refine_rounds(
+            policy,
+            g,
+            part,
+            k,
+            None,
+            &rounds_cfg,
+            None,
+            &mut ws,
+            trace,
+        );
         if cfg.sequential_polish {
             kway_refine_boundary_traced(g, part, k, cfg, Some(&out.frontier), trace).cut
         } else {
@@ -1205,6 +1252,7 @@ mod tests {
                     &g,
                     &mut p,
                     k,
+                    None,
                     &cfg,
                     None,
                     &mut ws,
@@ -1246,6 +1294,7 @@ mod tests {
                     &g,
                     &mut p,
                     k,
+                    None,
                     &cfg,
                     None,
                     &mut ws,
@@ -1355,7 +1404,7 @@ mod tests {
                 entry_slack: false,
                 ..Default::default()
             };
-            let bal = KwayBalance::new(&g, k, &cfg, 0);
+            let bal = KwayBalance::new(&g, k, &cfg, None, 0);
             let mut w0 = vec![0u64; k];
             for (u, &p) in part0.iter().enumerate() {
                 w0[p as usize] += g.vwgt()[u];
@@ -1369,6 +1418,7 @@ mod tests {
                     &g,
                     &mut p,
                     k,
+                    None,
                     &cfg,
                     None,
                     &mut ws,

@@ -16,7 +16,6 @@ pub mod ggg;
 pub mod kway;
 pub mod kwayref;
 pub mod metislike;
-pub mod parref;
 pub mod result;
 pub mod spectral;
 
@@ -33,10 +32,6 @@ pub use kwayref::{
     KwayRefineConfig, KwayRefineOutcome, KwayRoundsOutcome,
 };
 pub use metislike::{metis_like, mtmetis_like};
-pub use parref::{
-    parallel_refine, parallel_refine_rounds, parfm_bisect, rounds_then_polish, ParRefConfig,
-    ParRefOutcome, ParRefWorkspace,
-};
 pub use result::audit_partition;
 pub use result::PartitionResult;
 pub use spectral::{spectral_bisect, SpectralConfig};

@@ -9,6 +9,7 @@
 //! criterion is the iterate 2-norm difference falling below 1e-10.
 
 use crate::fm::FmConfig;
+use crate::kwayref::{KwayRefWorkspace, KwayRefineConfig};
 use crate::result::{audit_partition, split_weighted_median, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::Csr;
@@ -88,7 +89,17 @@ pub fn spectral_bisect(
         // Same crossover as the hybrid FM driver: parallel rounds strip
         // the bulk positive gains on large graphs, then the sequential
         // boundary FM polishes from the rounds' final frontier.
-        crate::parref::rounds_then_polish(policy, g, &mut part, fm_cfg, 0.5, &trace);
+        crate::fm::rounds_then_fm(
+            policy,
+            g,
+            &mut part,
+            fm_cfg,
+            &KwayRefineConfig::default(),
+            0.5,
+            None,
+            &mut KwayRefWorkspace::new(),
+            &trace,
+        );
     }
     let refine_seconds = span.finish();
     // The weighted-median split overshoots total/2 by at most one vertex;

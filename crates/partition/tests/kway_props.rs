@@ -1,5 +1,7 @@
-//! Property suite for direct k-way refinement (`mlcg_partition::kwayref`)
-//! and its integration into `kway_partition_cfg`.
+//! Property suite for the refinement round engine
+//! (`mlcg_partition::kwayref`): direct k-way refinement, its integration
+//! into `kway_partition_cfg`, and the `k = 2` split rounds the hybrid
+//! bisection driver runs.
 //!
 //! The explicit matrix covers every test execution policy × 3 fixed
 //! seeds × {grid2d, rmat, path} × k ∈ {2, 3, 5, 8} and asserts, for each
@@ -7,20 +9,30 @@
 //! from-scratch `edge_cut`, the per-part balance envelope never worse
 //! than the recursive-bisection entry, and a direct-refined cut at or
 //! below the recursive-only cut. A proplite-randomized test stresses the
-//! refiner alone from arbitrary (unbalanced) labelings, and dedicated
-//! tests pin cross-policy determinism and crossover engagement.
+//! refiner alone from arbitrary (unbalanced) labelings, plus the
+//! bisection rounds at part-0 shares 0.5 and 0.6 on unit and weighted
+//! edges, with and without the sequential FM polish. Dedicated tests pin
+//! cross-policy determinism, crossover engagement, and the serial
+//! labelings bit for bit.
 
+use mlcg_coarsen::coarsen;
 use mlcg_coarsen::CoarsenOptions;
+use mlcg_graph::builder::from_edges_weighted;
 use mlcg_graph::cc::largest_component;
-use mlcg_graph::metrics::edge_cut;
-use mlcg_graph::{generators, Csr};
+use mlcg_graph::metrics::{edge_cut, part_weights};
+use mlcg_graph::{generators, suite as corpus, Csr};
 use mlcg_par::proplite::run_cases;
 use mlcg_par::{ExecPolicy, TraceCollector};
-use mlcg_partition::fm::FmConfig;
-use mlcg_partition::kway::{
-    kway_empty_parts, kway_imbalance, kway_partition_cfg, KwayConfig, KwayResult,
+use mlcg_partition::fm::{
+    fm_bisect, fm_refine_boundary_traced, fm_uncoarsen_frac_hybrid, FmConfig,
 };
-use mlcg_partition::kwayref::{kway_direct_refine, KwayRefineConfig};
+use mlcg_partition::kway::{
+    kway_empty_parts, kway_imbalance, kway_partition, kway_partition_cfg, KwayConfig, KwayResult,
+};
+use mlcg_partition::kwayref::{
+    kway_direct_refine, kway_parallel_refine_rounds, KwayRefWorkspace, KwayRefineConfig,
+};
+use mlcg_partition::spectral::{spectral_bisect, SpectralConfig};
 
 /// The three graph families the issue names, three fixed instances each.
 fn suite() -> Vec<(String, Csr)> {
@@ -63,6 +75,59 @@ fn max_part_weight(g: &Csr, part: &[u32], k: usize) -> u64 {
         w[p as usize] += g.vwgt()[u];
     }
     w.into_iter().max().unwrap_or(0)
+}
+
+/// Mirror of the 2-way FM's per-side strict caps for part 0 targeting
+/// `frac` of the weight (no vertex slack) — the envelope the bisection
+/// rounds share with it.
+fn split_bounds(g: &Csr, frac: f64, epsilon: f64) -> [u64; 2] {
+    let total = g.total_vwgt();
+    let t0 = ((total as f64 * frac).round() as u64).min(total);
+    let side = |t: u64, share: f64| {
+        (((t as f64) * (1.0 + epsilon)).floor() as u64).max((total as f64 * share).ceil() as u64)
+    };
+    [side(t0, frac), side(total - t0, 1.0 - frac)]
+}
+
+/// A random bisection of a unit-vertex-weight graph with exactly
+/// `round(frac · n)` vertices in part 0, so the entry is feasible.
+fn split_start(n: usize, frac: f64, seed: u64) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut rng = mlcg_par::rng::Xoshiro256pp::new(seed);
+    for i in (1..n).rev() {
+        order.swap(i, rng.next_below((i + 1) as u64) as usize);
+    }
+    let t0 = (n as f64 * frac).round() as usize;
+    let mut part = vec![1u32; n];
+    for &u in &order[..t0] {
+        part[u] = 0;
+    }
+    part
+}
+
+/// `g` with random edge weights in `1..=20`, so the interference terms
+/// of simultaneous movers carry weight.
+fn reweighted(g: &Csr, seed: u64) -> Csr {
+    let mut rng = mlcg_par::rng::Xoshiro256pp::new(seed);
+    let mut edges = Vec::new();
+    for u in 0..g.n() as u32 {
+        for (v, _) in g.edges(u) {
+            if u < v {
+                edges.push((u, v, 1 + rng.next_below(20)));
+            }
+        }
+    }
+    from_edges_weighted(g.n(), &edges)
+}
+
+/// Every vertex with a cut edge.
+fn boundary(g: &Csr, part: &[u32]) -> Vec<u32> {
+    (0..g.n() as u32)
+        .filter(|&u| {
+            g.edges(u)
+                .any(|(v, _)| part[u as usize] != part[v as usize])
+        })
+        .collect()
 }
 
 fn run(policy: &ExecPolicy, g: &Csr, k: usize, direct: bool, seed: u64) -> KwayResult {
@@ -153,6 +218,31 @@ fn refiner_is_sound_from_arbitrary_labelings() {
     // in repair mode (absolute eps cap) the lexicographic (excess, cut)
     // key never ends worse than the entry. Either way the incremental
     // cut stays exact and no part is emptied.
+    //
+    // Each case also runs the bisection rounds (k = 2 with a part-0
+    // share) from a feasible start on the same graph, unit and weighted:
+    // seeded with the boundary plus random interior extras, the rounds
+    // never worsen the cut, track it exactly, return a frontier that
+    // covers the final boundary and keep the strict per-side envelope,
+    // with and without the seeded FM polish. One workspace serves every
+    // graph and policy; the engine is deterministic, so each result must
+    // equal a fresh-workspace serial run bit for bit.
+    let eps = FmConfig::default().epsilon;
+    let off = TraceCollector::disabled();
+    let mut shared = KwayRefWorkspace::new();
+    let empty = Csr::empty();
+    let out = kway_parallel_refine_rounds(
+        &ExecPolicy::host(),
+        &empty,
+        &mut [],
+        2,
+        Some(0.5),
+        &KwayRefineConfig::default(),
+        None,
+        &mut shared,
+        &off,
+    );
+    assert_eq!((out.cut, out.rounds), (0, 0), "empty graph");
     run_cases(24, 0xD1, |gen| {
         let pick = gen.usize_in(0, 3);
         let g = match pick {
@@ -204,7 +294,147 @@ fn refiner_is_sound_from_arbitrary_labelings() {
                 "{policy}: repair emptied a part"
             );
         }
+
+        for (edges, gs) in [("unit", g.clone()), ("weighted", reweighted(&g, seed))] {
+            for frac in [0.5, 0.6] {
+                let ctx = format!("{edges} split {frac}");
+                let part0 = split_start(gs.n(), frac, seed);
+                let before = edge_cut(&gs, &part0);
+                let bound = split_bounds(&gs, frac, eps);
+                let mut seed_frontier = boundary(&gs, &part0);
+                for _ in 0..gs.n() / 4 {
+                    seed_frontier.push(rng.next_below(gs.n() as u64) as u32);
+                }
+                let cfg = KwayRefineConfig {
+                    entry_slack: false,
+                    ..Default::default()
+                };
+                let rounds = |policy: &ExecPolicy, p: &mut [u32], ws: &mut KwayRefWorkspace| {
+                    kway_parallel_refine_rounds(
+                        policy,
+                        &gs,
+                        p,
+                        2,
+                        Some(frac),
+                        &cfg,
+                        Some(&seed_frontier),
+                        ws,
+                        &off,
+                    )
+                };
+                let mut reference = part0.clone();
+                rounds(
+                    &ExecPolicy::serial(),
+                    &mut reference,
+                    &mut KwayRefWorkspace::new(),
+                );
+                for policy in ExecPolicy::all_test_policies() {
+                    let mut p = part0.clone();
+                    let out = rounds(&policy, &mut p, &mut shared);
+                    assert_eq!(
+                        p, reference,
+                        "{ctx} {policy}: labels depend on workspace or policy"
+                    );
+                    assert_eq!(out.cut, edge_cut(&gs, &p), "{ctx} {policy}: cut drifted");
+                    assert!(
+                        out.cut <= before,
+                        "{ctx} {policy}: worsened {before} -> {}",
+                        out.cut
+                    );
+                    let mut in_f = vec![false; gs.n()];
+                    for &u in &out.frontier {
+                        in_f[u as usize] = true;
+                    }
+                    assert!(
+                        boundary(&gs, &p).iter().all(|&u| in_f[u as usize]),
+                        "{ctx} {policy}: frontier misses a boundary vertex"
+                    );
+                    let (w0, w1) = part_weights(&gs, &p);
+                    assert!(
+                        w0 <= bound[0] && w1 <= bound[1],
+                        "{ctx} {policy}: weights {w0}/{w1} exceed {bound:?}"
+                    );
+
+                    let fm = FmConfig::default();
+                    let polished = fm_refine_boundary_traced(
+                        &gs,
+                        &mut p,
+                        &fm,
+                        frac,
+                        Some(&out.frontier),
+                        &off,
+                    );
+                    assert_eq!(
+                        polished.cut,
+                        edge_cut(&gs, &p),
+                        "{ctx} {policy}: polish drifted"
+                    );
+                    assert!(polished.cut <= out.cut, "{ctx} {policy}: polish worsened");
+                    let (w0, w1) = part_weights(&gs, &p);
+                    assert!(
+                        w0 <= bound[0] && w1 <= bound[1],
+                        "{ctx} {policy}: polished weights {w0}/{w1} exceed {bound:?}"
+                    );
+                }
+            }
+        }
     });
+}
+
+#[test]
+fn hybrid_bisection_is_deterministic_across_parallel_policies() {
+    // The bisection rounds share the k-way engine's sequential selection,
+    // so on one fixed hierarchy (coarsened serially: HEC's CAS races make
+    // parallel coarsening itself schedule-dependent) the hybrid driver
+    // with the crossover forced on every level must give Host and
+    // DeviceSim the same labels. The `kwayref/rounds` counter shows the
+    // rounds ran; a serial policy never takes the parallel path.
+    let g = generators::grid2d(64, 64);
+    let h = coarsen(&ExecPolicy::serial(), &g, &CoarsenOptions::default());
+    let fm = FmConfig::default();
+    let rounds = KwayRefineConfig {
+        crossover_frontier: Some(1),
+        ..Default::default()
+    };
+    for frac in [0.5, 0.6] {
+        let run = |policy: &ExecPolicy| {
+            let trace = TraceCollector::enabled();
+            let part = fm_uncoarsen_frac_hybrid(policy, &h, &fm, &rounds, frac, 42, &trace);
+            (part, trace.report().counter("kwayref/rounds"))
+        };
+        let (host, host_rounds) = run(&ExecPolicy::host());
+        let (sim, sim_rounds) = run(&ExecPolicy::device_sim());
+        assert!(
+            host_rounds > 0,
+            "split {frac}: hybrid driver never ran a round"
+        );
+        assert_eq!(
+            host_rounds, sim_rounds,
+            "split {frac}: round counts diverged"
+        );
+        assert_eq!(
+            host, sim,
+            "split {frac}: Host and DeviceSim labels diverged"
+        );
+
+        let cut = edge_cut(&g, &host);
+        assert!(
+            cut > 0 && cut <= 256,
+            "split {frac}: implausible grid cut {cut}"
+        );
+        let bound = split_bounds(&g, frac, fm.epsilon);
+        let (w0, w1) = part_weights(&g, &host);
+        assert!(
+            w0 <= bound[0] && w1 <= bound[1],
+            "split {frac}: weights {w0}/{w1} exceed {bound:?}"
+        );
+
+        let (_, serial_rounds) = run(&ExecPolicy::serial());
+        assert_eq!(
+            serial_rounds, 0,
+            "serial policy must not take the parallel path"
+        );
+    }
 }
 
 #[test]
@@ -288,4 +518,55 @@ fn crossover_runs_kway_rounds_under_a_parallel_policy() {
         0,
         "serial policy must not take the parallel path"
     );
+}
+
+/// FNV-1a over the little-endian label bytes: a compact fingerprint for
+/// bit-identity pins.
+fn label_hash(part: &[u32]) -> u64 {
+    part.iter()
+        .flat_map(|p| p.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn serial_labelings_are_pinned() {
+    // Under `ExecPolicy::serial()` no parallel refinement round ever runs
+    // (the crossover needs a parallel backend), so a change to the round
+    // engine must leave these labelings bit-identical. The fingerprints
+    // cover the 2-way FM driver, recursive k-way with its post-pass
+    // (k = 3 splits 2/3 then 1/2), and the FM-polished spectral bisection.
+    let policy = ExecPolicy::serial();
+    let opts = CoarsenOptions::default();
+    let polished = SpectralConfig {
+        fm_polish: Some(FmConfig::default()),
+        ..Default::default()
+    };
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for ng in corpus::mini_suite(13) {
+        let g = &ng.graph;
+        let fm = fm_bisect(&policy, g, &opts, &FmConfig::default(), 7);
+        got.push((format!("{}/fm_bisect", ng.name), label_hash(&fm.part)));
+        for k in [3usize, 8] {
+            let kw = kway_partition(&policy, g, k, &opts, &FmConfig::default(), 7);
+            got.push((format!("{}/kway{k}", ng.name), label_hash(&kw.part)));
+        }
+        let sp = spectral_bisect(&policy, g, &opts, &polished, 7);
+        got.push((format!("{}/spectral_fm", ng.name), label_hash(&sp.part)));
+    }
+    let want: Vec<(String, u64)> = [
+        ("delaunay/fm_bisect", 0x8332959f0cf2ed65),
+        ("delaunay/kway3", 0x1f9b1a6fc2504624),
+        ("delaunay/kway8", 0x4f6d85251f7637d6),
+        ("delaunay/spectral_fm", 0x2dcb080b22af3695),
+        ("kron/fm_bisect", 0x6240310c0b1c6204),
+        ("kron/kway3", 0x4c50e37f3e658b74),
+        ("kron/kway8", 0xe3d57ba6f1bfa990),
+        ("kron/spectral_fm", 0x96c8feab698d45e4),
+    ]
+    .iter()
+    .map(|&(name, h)| (name.to_string(), h))
+    .collect();
+    assert_eq!(got, want, "serial labelings changed");
 }

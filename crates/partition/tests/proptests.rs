@@ -15,7 +15,6 @@ use mlcg_par::ExecPolicy;
 use mlcg_partition::fm::{fm_refine_frac, FmConfig};
 use mlcg_partition::ggg::greedy_graph_growing_frac;
 use mlcg_partition::kway::{kway_imbalance, kway_partition};
-use mlcg_partition::parref::{parallel_refine, ParRefConfig};
 
 fn connected_graph(g: &mut Gen) -> Csr {
     let n = g.usize_in(4, 50);
@@ -187,26 +186,6 @@ fn boundary_fm_keeps_the_balance_envelope() {
         let (w0, w1) = part_weights(&g, &part);
         let bound = ((total as f64 * 0.5 * (1.0 + cfg.epsilon)).ceil() as u64) + max_vwgt;
         assert!(w0.max(w1) <= bound, "weights {w0}/{w1} exceed {bound}");
-    });
-}
-
-#[test]
-fn parallel_refine_is_sound() {
-    run_cases(32, 0xB3, |gen| {
-        let g = connected_graph(gen);
-        let seed = gen.u64();
-        let part = balanced_random_part(g.n(), seed);
-        let before = edge_cut(&g, &part);
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
-        for policy in ExecPolicy::all_test_policies() {
-            let mut p = part.clone();
-            let after = parallel_refine(&policy, &g, &mut p, &cfg);
-            assert!(after <= before, "refinement worsened {before} -> {after}");
-            assert_eq!(after, edge_cut(&g, &p));
-        }
     });
 }
 

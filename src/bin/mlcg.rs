@@ -11,7 +11,7 @@
 //! graphs: .mtx (MatrixMarket), .graph/.metis (METIS), else edge list
 //! opts:   --method hec|hec2|hec3|hem|mtmetis|gosh|goshec|mis2|suitor
 //!         --construction sort|hash|spgemm|global-sort|hybrid
-//!         --refine fm|spectral|parallel      (bisect only)
+//!         --refine fm|spectral               (bisect only)
 //!         --policy serial|host|device        (default host)
 //!         --cutoff <n>  --seed <s>  -k <k>
 //!         --out <file>                       write partition labels / graph
@@ -23,8 +23,7 @@ use multilevel_coarsen::coarsen::{
 use multilevel_coarsen::graph::{cc, io, metrics::DegreeStats, Csr};
 use multilevel_coarsen::par::ExecPolicy;
 use multilevel_coarsen::partition::{
-    fm_bisect, kway_partition, parfm_bisect, spectral_bisect, FmConfig, ParRefConfig,
-    SpectralConfig,
+    fm_bisect, kway_partition, spectral_bisect, FmConfig, SpectralConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -211,7 +210,6 @@ fn main() {
                 "spectral" => {
                     spectral_bisect(&policy, &g, &copts, &SpectralConfig::default(), o.seed)
                 }
-                "parallel" => parfm_bisect(&policy, &g, &copts, &ParRefConfig::default(), o.seed),
                 other => {
                     eprintln!("unknown refinement {other}");
                     exit(2);
